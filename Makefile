@@ -50,7 +50,11 @@ fabric-smoke:
 store-smoke:
 	./scripts/store-smoke.sh
 
-ci: vet build race race-solver fabric-smoke store-smoke
+# The CI workflow's test job, in its order, except for the full-length
+# fabric race pass (`race` covers the fabric in -short form), the fuzz
+# smoke (`make fuzz-smoke`) and the non-blocking bench and trace steps.
+# The staticcheck job needs the tool installed: `staticcheck ./...`.
+ci: vet build test race race-solver serve-smoke fabric-smoke store-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -130,7 +130,7 @@ func BenchmarkAnalyzeL1(b *testing.B) {
 	il := Interleaving{Style: StyleWayPhysical, Factor: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run.L1AVF(Parity, il, 2); err != nil {
+		if _, err := run.AVF(L1, Parity, il, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func BenchmarkAnalyzeVGPR(b *testing.B) {
 	il := Interleaving{Style: StyleInterThread, Factor: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run.VGPRAVF(Parity, il, 4); err != nil {
+		if _, err := run.AVF(VGPR, Parity, il, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func BenchmarkAnalyzeFromSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := run.L1AVF(Parity, il, 2); err != nil {
+		if _, err := run.AVF(L1, Parity, il, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func BenchmarkAnalyzeFromStore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := loaded.L1AVF(Parity, il, 2); err != nil {
+		if _, err := loaded.AVF(L1, Parity, il, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

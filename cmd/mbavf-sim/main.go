@@ -88,7 +88,7 @@ func main() {
 		{mbavf.StyleIndexPhysical, mbavf.Parity},
 		{mbavf.StyleWayPhysical, mbavf.SECDED},
 	} {
-		avf, err := run.L1AVF(cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
+		avf, err := run.AVF(mbavf.L1, cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
 		if err != nil {
 			die(err)
 		}
@@ -106,7 +106,7 @@ func main() {
 		{mbavf.StyleInterThread, mbavf.Parity},
 		{mbavf.StyleInterThread, mbavf.SECDED},
 	} {
-		avf, err := run.VGPRAVF(cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
+		avf, err := run.AVF(mbavf.VGPR, cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2}, *mode)
 		if err != nil {
 			die(err)
 		}

@@ -16,7 +16,7 @@ func ExampleRunWorkload() {
 		log.Fatal(err)
 	}
 	for _, style := range []mbavf.Style{mbavf.StyleLogical, mbavf.StyleWayPhysical} {
-		avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
+		avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func main() {
 
 	fmt.Println("L1 vulnerability of the custom kernel (2x1 faults):")
 	for _, style := range []mbavf.Style{mbavf.StyleLogical, mbavf.StyleWayPhysical, mbavf.StyleIndexPhysical} {
-		avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
+		avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func main() {
 		{mbavf.Parity, mbavf.StyleInterThread},
 		{mbavf.SECDED, mbavf.StyleInterThread},
 	} {
-		ser, err := run.VGPRSER(cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2})
+		ser, err := run.SER(mbavf.VGPR, cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: 2})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func main() {
 		row := make([]float64, len(styles))
 		var sb float64
 		for i, style := range styles {
-			avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
+			avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: style, Factor: 2}, 2)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for m := 2; m <= 8; m++ {
-		avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleWayPhysical, Factor: 4}, m)
+		avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleWayPhysical, Factor: 4}, m)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func main() {
 	// when each cache line is protected by parity and physically adjacent
 	// bits belong to two different check words (x2 logical interleaving).
 	il := mbavf.Interleaving{Style: mbavf.StyleLogical, Factor: 2}
-	avf, err := run.L1AVF(mbavf.Parity, il, 2)
+	avf, err := run.AVF(mbavf.L1, mbavf.Parity, il, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func main() {
 	// The same fault mode without interleaving defeats parity entirely
 	// (two flips in one check word are undetectable), converting the DUE
 	// vulnerability into silent data corruption.
-	flat, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleLogical, Factor: 1}, 2)
+	flat, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleLogical, Factor: 1}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

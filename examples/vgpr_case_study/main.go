@@ -56,7 +56,7 @@ func main() {
 	for _, cfg := range configs {
 		var sdc, due float64
 		for _, name := range workloadSet {
-			ser, err := runs[name].VGPRSER(cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: cfg.factor})
+			ser, err := runs[name].SER(mbavf.VGPR, cfg.scheme, mbavf.Interleaving{Style: cfg.style, Factor: cfg.factor})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -129,33 +129,18 @@ func storeFor(loc string) *store.Store {
 // run returns the instrumented measurements of a workload. The lookup
 // order is the cost order: the in-process memo, then the persistent
 // artifact store (milliseconds), then a fresh simulation (the dominant
-// cost by orders of magnitude), which is recorded back into the store
-// when one is configured.
+// cost by orders of magnitude). The store-or-simulate decision is
+// store.Acquire's, the same rule the public RunWorkloadStoredFor
+// follows; a stored run is decoded in full, since every figure reuses
+// all of its sections.
 func run(o Options, name string) (*sim.Measurements, error) {
 	if v, ok := runCache.Load(name); ok {
 		return v.(*sim.Measurements), nil
 	}
-	st := storeFor(o.StoreDir)
-	key := store.KeyFor(name, sim.DefaultConfig())
-	if st != nil {
-		// A miss or a quarantined corrupt artifact both fall through to
-		// simulation; the store never serves wrong numbers.
-		if m, err := st.Get(o.ctx(), key); err == nil && m.Workload == name {
-			runCache.Store(name, m)
-			return m, nil
-		}
-	}
-	w, err := workloads.ByName(name)
+	m, _, err := store.Acquire(o.ctx(), storeFor(o.StoreDir), name,
+		(*store.Artifact).Measurements, func(m *sim.Measurements) *sim.Measurements { return m })
 	if err != nil {
 		return nil, err
-	}
-	s, err := sim.ExecuteContext(o.ctx(), w, sim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	m := s.Measurements()
-	if st != nil {
-		_ = st.Put(o.ctx(), key, m) // best-effort; persistence never fails a run
 	}
 	runCache.Store(name, m)
 	return m, nil

@@ -70,7 +70,7 @@ func newMetrics(kind string) *metrics {
 	}
 }
 
-// ErrNotFound marks a Get/Inspect for a key the store does not hold;
+// ErrNotFound marks a GetArtifact/Inspect for a key the store does not hold;
 // callers fall through to simulation.
 var ErrNotFound = backend.ErrNotFound
 
@@ -142,88 +142,86 @@ func (s *Store) Path(key string) string {
 
 func checkKey(key string) error { return backend.CheckKey(key) }
 
-// Get loads and fully decodes the artifact stored under key. A missing
-// artifact returns ErrNotFound; a damaged one is quarantined and
-// returns an error wrapping ErrCorrupt or ErrFormat — it is never
-// silently analyzed, and the caller's fallback is re-simulation.
-func (s *Store) Get(ctx context.Context, key string) (*sim.Measurements, error) {
-	data, err := s.getBytes(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	m, err := Decode(data)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat) {
-			s.m.corrupt.Add(1)
-			s.quarantine(ctx, key)
-		}
-		return nil, err
-	}
-	s.m.hits.Add(1)
-	return m, nil
+// GetArtifact loads the artifact stored under key as a lazily decoding
+// Artifact. A missing artifact returns ErrNotFound; a damaged one is
+// quarantined and returns an error wrapping ErrCorrupt or ErrFormat —
+// it is never silently analyzed, and the caller's fallback is
+// re-simulation.
+//
+// Over a local backend the whole blob is read and every CRC verified
+// before it returns; over a ranged backend (HTTP) only the section table
+// and the meta section transfer here, and each remaining section is
+// fetched — and CRC-verified, quarantining on a mismatch — on the first
+// analysis that touches it. Either way the measurement payloads decode
+// on first use (Artifact.Measurements decodes them all). This is the
+// serving tier's load path: reviving a run costs low milliseconds, and
+// each analysis then pays for only the sections it touches.
+func (s *Store) GetArtifact(ctx context.Context, key string) (*Artifact, error) {
+	return s.getArtifact(ctx, key, "")
 }
 
-// getBytes fetches the whole artifact blob, accounting for misses and
-// bytes read (but not hits — the caller decides once decoding works).
-func (s *Store) getBytes(ctx context.Context, key string) ([]byte, error) {
+// LoadWorkload is GetArtifact for the named workload's artifact under
+// the default machine configuration, plus an identity check. A key
+// collision is cryptographically impossible, so an artifact whose meta
+// names another workload was planted or renamed: it is quarantined and
+// returns an error wrapping ErrFormat, exactly like a damaged one.
+func (s *Store) LoadWorkload(ctx context.Context, workload string) (*Artifact, error) {
+	return s.getArtifact(ctx, KeyFor(workload, sim.DefaultConfig()), workload)
+}
+
+// getArtifact loads key over the backend's load path and settles the
+// accounting: a hit, a miss, or a damaged artifact (counted and
+// quarantined). A non-empty workload must match the artifact's meta.
+// Anything else — an I/O failure, an unreachable server — passes
+// through untouched: it says nothing about the artifact.
+func (s *Store) getArtifact(ctx context.Context, key, workload string) (*Artifact, error) {
 	if err := checkKey(key); err != nil {
 		return nil, err
 	}
-	data, err := s.b.Get(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		s.m.misses.Add(1)
-		return nil, err
+	load := s.parseWhole
+	if s.ranged {
+		load = s.parseRanged
 	}
+	a, err := load(ctx, key)
+	if err == nil && workload != "" && a.meta.Workload != workload {
+		err = fmt.Errorf("%w: artifact names workload %q, wanted %q", ErrFormat, a.meta.Workload, workload)
+	}
+	switch {
+	case err == nil:
+		s.m.hits.Add(1)
+		return a, nil
+	case errors.Is(err, ErrNotFound):
+		s.m.misses.Add(1)
+	case damaged(err):
+		s.m.corrupt.Add(1)
+		s.quarantine(ctx, key)
+	}
+	return nil, err
+}
+
+// damaged reports whether err condemns the artifact itself (a CRC or
+// framing failure, or the wrong identity) rather than the way to it.
+func damaged(err error) bool {
+	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat)
+}
+
+// parseWhole reads the whole blob and validates it with Parse.
+func (s *Store) parseWhole(ctx context.Context, key string) (*Artifact, error) {
+	data, err := s.b.Get(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	s.m.bytesRead.Add(uint64(len(data)))
-	return data, nil
+	return Parse(data)
 }
 
-// GetArtifact loads the artifact stored under key as a lazily decoding
-// Artifact. Over a local backend the whole blob is read and every CRC
-// verified before it returns (a damaged file is quarantined exactly as
-// in Get); over a ranged backend (HTTP) only the section table and the
-// meta section transfer here, and each remaining section is fetched —
-// and CRC-verified — on the first analysis that touches it. Either way
-// the measurement payloads decode on first use. This is the serving
-// tier's load path: reviving a run costs low milliseconds, and each
-// analysis then pays for only the sections it touches.
-func (s *Store) GetArtifact(ctx context.Context, key string) (*Artifact, error) {
-	if s.ranged {
-		if err := checkKey(key); err != nil {
-			return nil, err
-		}
-		return s.getArtifactRanged(ctx, key)
-	}
-	data, err := s.getBytes(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	a, err := Parse(data)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat) {
-			s.m.corrupt.Add(1)
-			s.quarantine(ctx, key)
-		}
-		return nil, err
-	}
-	s.m.hits.Add(1)
-	return a, nil
-}
-
-// getArtifactRanged builds an Artifact without transferring the whole
-// blob: Stat for the size, a handful of small ReadSection calls to walk
-// the section table (validating framing eagerly), then the meta payload.
+// parseRanged builds an Artifact without transferring the whole blob:
+// Stat for the size, a handful of small ReadSection calls to walk the
+// section table (validating framing eagerly), then the meta payload.
 // Section CRCs are verified as sections are fetched; a mismatch at any
 // point quarantines the artifact, exactly like the eager path.
-func (s *Store) getArtifactRanged(ctx context.Context, key string) (*Artifact, error) {
+func (s *Store) parseRanged(ctx context.Context, key string) (*Artifact, error) {
 	info, err := s.b.Stat(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		s.m.misses.Add(1)
-		return nil, err
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -236,32 +234,22 @@ func (s *Store) getArtifactRanged(ctx context.Context, key string) (*Artifact, e
 	}
 	locs, err := scanSections(info.Bytes, read)
 	if err != nil {
-		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFormat) {
-			s.m.corrupt.Add(1)
-			s.quarantine(ctx, key)
-		}
 		return nil, err
 	}
-	// The meta section decodes now: Load must be able to check the
-	// artifact's identity before anyone analyzes it.
+	// The meta section decodes now: the artifact's identity must be
+	// checkable before anyone analyzes it.
 	mloc := locs[secMeta]
 	payload, err := read(mloc.off, mloc.n)
 	if err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != mloc.crc {
-		err := fmt.Errorf("%w: meta section checksum mismatch", ErrCorrupt)
-		s.m.corrupt.Add(1)
-		s.quarantine(ctx, key)
-		return nil, err
+		return nil, fmt.Errorf("%w: meta section checksum mismatch", ErrCorrupt)
 	}
 	meta, err := decodeMeta(payload)
 	if err != nil {
-		s.m.corrupt.Add(1)
-		s.quarantine(ctx, key)
 		return nil, err
 	}
-	s.m.hits.Add(1)
 	// Later section fetches run on a detached context: the artifact
 	// outlives the request that loaded it (it sits in the serve tier's
 	// run cache), so an abandoned request must not poison its decoding.
@@ -281,7 +269,7 @@ func (s *Store) getArtifactRanged(ctx context.Context, key string) (*Artifact, e
 }
 
 // quarantine moves a damaged artifact out of the addressable namespace
-// so the next Get for its key misses cleanly. Backends that cannot keep
+// so the next load of its key misses cleanly. Backends that cannot keep
 // the bytes for post-mortem just delete. Best-effort: a failure leaves
 // the artifact to fail its CRC again.
 func (s *Store) quarantine(ctx context.Context, key string) {
@@ -314,7 +302,7 @@ func (s *Store) Put(ctx context.Context, key string, m *sim.Measurements) error 
 }
 
 // Has reports whether an artifact is stored under key (without
-// validating it; Get still decides whether it is usable).
+// validating it; GetArtifact still decides whether it is usable).
 func (s *Store) Has(ctx context.Context, key string) bool {
 	if checkKey(key) != nil {
 		return false

@@ -12,7 +12,7 @@
 // Typical use:
 //
 //	run, err := mbavf.RunWorkload("minife")
-//	avf, err := run.L1AVF(mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleIndexPhysical, Factor: 2}, 2)
+//	avf, err := run.AVF(mbavf.L1, mbavf.Parity, mbavf.Interleaving{Style: mbavf.StyleIndexPhysical, Factor: 2}, 2)
 //	fmt.Println(avf.DUE, avf.SDC)
 //
 // All workloads execute on the bundled simulator; see the examples
@@ -236,48 +236,10 @@ func (r *Run) analyze(a *core.Analyzer, scheme Scheme, modeBits int) (AVF, error
 	return fromResult(res), nil
 }
 
-// L1AVF measures the MB-AVF of an Mx1 fault mode (modeBits adjacent bits
-// along a wordline) in compute unit 0's L1 data array.
-//
-// Deprecated: use Run.AVF with the L1 structure; this wrapper remains for
-// source compatibility and forwards to the unified path unchanged.
-func (r *Run) L1AVF(scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
-	return r.AVF(L1, scheme, il, modeBits)
-}
-
-// L2AVF measures the MB-AVF of an Mx1 fault mode in the shared L2 data
-// array.
-//
-// Deprecated: use Run.AVF with the L2 structure; this wrapper remains for
-// source compatibility and forwards to the unified path unchanged.
-func (r *Run) L2AVF(scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
-	return r.AVF(L2, scheme, il, modeBits)
-}
-
-// VGPRAVF measures the MB-AVF of an Mx1 fault mode in compute unit 0's
-// vector register file. Inter-thread interleaving applies the paper's
-// detection-preempts-SDC rule (registers of a 16-thread group are read in
-// lock-step, so an adjacent thread's DUE fires before an SDC propagates).
-//
-// Deprecated: use Run.AVF with the VGPR structure; this wrapper remains
-// for source compatibility and forwards to the unified path unchanged.
-func (r *Run) VGPRAVF(scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
-	return r.AVF(VGPR, scheme, il, modeBits)
-}
-
 // SER is a soft-error-rate roll-up over all fault modes of Table III.
 type SER struct {
 	// SDC and DUE are FIT-weighted rates (raw mode rate x measured AVF,
 	// summed over 1x1..8x1).
 	SDC float64
 	DUE float64
-}
-
-// VGPRSER rolls the register file's per-mode AVFs into SDC and DUE soft
-// error rates using the paper's Table III raw fault rates (total = 100).
-//
-// Deprecated: use Run.SER with the VGPR structure; this wrapper remains
-// for source compatibility and forwards to the unified path unchanged.
-func (r *Run) VGPRSER(scheme Scheme, il Interleaving) (SER, error) {
-	return r.SER(VGPR, scheme, il)
 }

@@ -2,11 +2,7 @@ package mbavf
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"time"
 
-	"mbavf/internal/obs"
 	"mbavf/internal/sim"
 	"mbavf/internal/store"
 	"mbavf/internal/store/disk"
@@ -15,10 +11,6 @@ import (
 // ErrNotInStore marks a RunStore lookup for a workload whose artifact
 // has not been recorded; callers fall back to simulation.
 var ErrNotInStore = store.ErrNotFound
-
-// obsStoreFallbacks counts store loads that failed (missing or corrupt
-// artifact) and fell back to a fresh simulation.
-var obsStoreFallbacks = obs.NewCounter("store.fallback_simulations")
 
 // RunStore is a persistent, content-addressed collection of run
 // artifacts: the "record once, analyze forever" tier. Each artifact is
@@ -44,12 +36,9 @@ func NewRunStore(b store.Backend) *RunStore {
 }
 
 // OpenRunStore opens (creating if needed) a run-artifact store rooted at
-// dir.
-//
-// Deprecated: OpenRunStore is the pre-backend spelling, kept as a thin
-// bit-identical wrapper over NewRunStore with a disk backend so
-// existing callers compile unchanged. New code should construct the
-// backend explicitly: NewRunStore(disk.New(dir)).
+// the local directory dir. It is the disk-backed constructor for code
+// outside this module, which cannot import the internal backend
+// packages that NewRunStore takes.
 func OpenRunStore(dir string) (*RunStore, error) {
 	b, err := disk.New(dir)
 	if err != nil {
@@ -85,8 +74,9 @@ func (rs *RunStore) Has(workload string) bool {
 }
 
 // Load revives the named workload's recorded Run. A missing artifact
-// returns ErrNotInStore; a damaged one (any CRC mismatch) is
-// quarantined and returns a typed decode error. Either way the caller's
+// returns ErrNotInStore; a damaged one (any CRC mismatch, or an
+// artifact naming another workload) is quarantined and returns an error
+// wrapping store.ErrCorrupt or store.ErrFormat. Either way the caller's
 // fallback is RunWorkload.
 //
 // Loading is lazy: over a local backend the artifact's framing and
@@ -102,17 +92,17 @@ func (rs *RunStore) Load(workload string) (*Run, error) {
 // LoadContext is Load under a context, which bounds the backend I/O
 // (a remote store may be slow or gone).
 func (rs *RunStore) LoadContext(ctx context.Context, workload string) (*Run, error) {
-	a, err := rs.st.GetArtifact(ctx, rs.Key(workload))
+	a, err := rs.st.LoadWorkload(ctx, workload)
 	if err != nil {
 		return nil, err
 	}
-	meta := a.Meta()
-	if meta.Workload != workload {
-		// A key collision is cryptographically impossible; a mismatch
-		// means the file was planted or renamed. Do not analyze it.
-		return nil, fmt.Errorf("mbavf: store artifact names workload %q, wanted %q", meta.Workload, workload)
-	}
-	return &Run{m: metaMeasurements(meta), art: a}, nil
+	return lazyRun(a), nil
+}
+
+// lazyRun wraps a loaded artifact in a Run whose trackers and graph
+// decode on demand.
+func lazyRun(a *store.Artifact) *Run {
+	return &Run{m: metaMeasurements(a.Meta()), art: a}
 }
 
 // metaMeasurements seeds a lazily backed run's measurements with the
@@ -173,88 +163,31 @@ func (rs *RunStore) SaveContext(ctx context.Context, workload string, r *Run) er
 	return rs.st.Put(ctx, rs.Key(workload), m)
 }
 
-// storeRetryDelay is the backoff before the single Load retry on a
-// transient store failure; a var so tests don't wait.
-var storeRetryDelay = 50 * time.Millisecond
-
-// loadPreloaded is LoadContext plus an eager Preload of the structures
-// the caller is about to analyze. The preload matters on a ranged
-// (HTTP) backend: section payloads transfer and CRC-check on first
-// touch, so forcing the touch here surfaces remote damage while the
-// caller can still fall back to simulation and re-record.
-func (rs *RunStore) loadPreloaded(ctx context.Context, workload string, sts []Structure) (*Run, error) {
-	r, err := rs.LoadContext(ctx, workload)
-	if err != nil {
-		return nil, err
-	}
-	if len(sts) > 0 {
-		if err := r.Preload(sts...); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// RunWorkloadStored returns the named workload's Run from the store when
-// a valid artifact is recorded, and simulates (then records) otherwise.
-// The boolean reports whether the store answered. A nil store always
-// simulates; a store that cannot be written (read-only disk, quota)
-// still returns the simulated run — persistence is an accelerator,
-// never a correctness dependency.
+// RunWorkloadStoredFor returns the named workload's Run from the store
+// when a valid artifact is recorded, and simulates (then records)
+// otherwise. The boolean reports whether the store answered. A nil
+// store always simulates. The fallback rule — what is a miss, what is
+// damage, what is transient and retried, and when the simulated run is
+// recorded — is store.Acquire's, shared with every other caller.
 //
-// Load failures split by kind. A damaged artifact (ErrCorrupt /
-// ErrFormat) is already quarantined by the store, so the fallback
-// simulation re-records a good replacement. A transient failure (EMFILE,
-// NFS hiccup, an unreachable artifact server) gets one retried Load
-// after a short backoff, and if that also fails the fallback simulation
-// does NOT overwrite the artifact — the recording in the store may be
-// perfectly good, and clobbering it mid-flap would throw away an
-// expensive, valid run.
-func RunWorkloadStored(ctx context.Context, name string, rs *RunStore) (*Run, bool, error) {
-	return RunWorkloadStoredFor(ctx, name, rs)
-}
-
-// RunWorkloadStoredFor is RunWorkloadStored with the structures the
-// caller is about to analyze: a store-served Run arrives with those
-// structures preloaded, so a remote section that turns out damaged (or
-// a server that vanishes mid-download) is discovered here — where the
-// fallback-to-simulation machinery can still handle it — instead of
-// mid-analysis.
+// The structures are the ones the caller is about to analyze: a
+// store-served Run arrives with those structures preloaded, so a remote
+// section that turns out damaged (or a server that vanishes
+// mid-download) is discovered here — where the fallback to simulation
+// can still handle it — instead of mid-analysis.
 func RunWorkloadStoredFor(ctx context.Context, name string, rs *RunStore, sts ...Structure) (*Run, bool, error) {
-	if rs == nil {
-		r, err := RunWorkloadContext(ctx, name)
-		return r, false, err
+	var st *store.Store
+	if rs != nil {
+		st = rs.st
 	}
-	record := true
-	r, err := rs.loadPreloaded(ctx, name, sts)
-	switch {
-	case err == nil:
-		return r, true, nil
-	case errors.Is(err, ErrNotInStore):
-		// Nothing recorded yet: simulate and record.
-	case errors.Is(err, store.ErrCorrupt), errors.Is(err, store.ErrFormat):
-		// Damaged and quarantined: simulate and re-record a good artifact.
-		obsStoreFallbacks.Add(1)
-	default:
-		// Transient: retry once with backoff before giving up on the
-		// store for this call.
-		select {
-		case <-time.After(storeRetryDelay):
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+	open := func(a *store.Artifact) (*Run, error) {
+		r := lazyRun(a)
+		if len(sts) > 0 {
+			if err := r.Preload(sts...); err != nil {
+				return nil, err
+			}
 		}
-		if r, err = rs.loadPreloaded(ctx, name, sts); err == nil {
-			return r, true, nil
-		}
-		obsStoreFallbacks.Add(1)
-		record = false
+		return r, nil
 	}
-	r, err = RunWorkloadContext(ctx, name)
-	if err != nil {
-		return nil, false, err
-	}
-	if record {
-		_ = rs.SaveContext(ctx, name, r) // best-effort; failure to persist must not fail the run
-	}
-	return r, false, nil
+	return store.Acquire(ctx, st, name, open, func(m *sim.Measurements) *Run { return &Run{m: m} })
 }

@@ -6,12 +6,14 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"mbavf/internal/store"
 )
 
 // transientStore records a vecadd artifact, then replaces it with a
 // directory: reads fail with EISDIR, which is neither a miss nor typed
 // corruption — exactly the transient-failure shape (NFS hiccup, EMFILE,
-// permission flap) RunWorkloadStored must not treat as damage.
+// permission flap) RunWorkloadStoredFor must not treat as damage.
 func transientStore(t *testing.T) (rs *RunStore, path string, pristine []byte) {
 	t.Helper()
 	dir := t.TempDir()
@@ -19,7 +21,7 @@ func transientStore(t *testing.T) (rs *RunStore, path string, pristine []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, fromStore, err := RunWorkloadStored(context.Background(), "vecadd", rs); err != nil || fromStore {
+	if _, fromStore, err := RunWorkloadStoredFor(context.Background(), "vecadd", rs); err != nil || fromStore {
 		t.Fatalf("recording run: fromStore=%v err=%v", fromStore, err)
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, "*.mbavf"))
@@ -49,17 +51,17 @@ func TestStoreTransientFailureRetries(t *testing.T) {
 	}
 	rs, path, pristine := transientStore(t)
 
-	defer func(d time.Duration) { storeRetryDelay = d }(storeRetryDelay)
-	storeRetryDelay = 500 * time.Millisecond
+	defer func(d time.Duration) { store.RetryDelay = d }(store.RetryDelay)
+	store.RetryDelay = 500 * time.Millisecond
 
-	// The flap heals while RunWorkloadStored is backing off.
+	// The flap heals while RunWorkloadStoredFor is backing off.
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		_ = os.Remove(path)
 		_ = os.WriteFile(path, pristine, 0o644)
 	}()
 
-	r, fromStore, err := RunWorkloadStored(context.Background(), "vecadd", rs)
+	r, fromStore, err := RunWorkloadStoredFor(context.Background(), "vecadd", rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +83,10 @@ func TestStoreTransientFailureDoesNotClobber(t *testing.T) {
 	}
 	rs, path, pristine := transientStore(t)
 
-	defer func(d time.Duration) { storeRetryDelay = d }(storeRetryDelay)
-	storeRetryDelay = time.Millisecond
+	defer func(d time.Duration) { store.RetryDelay = d }(store.RetryDelay)
+	store.RetryDelay = time.Millisecond
 
-	r, fromStore, err := RunWorkloadStored(context.Background(), "vecadd", rs)
+	r, fromStore, err := RunWorkloadStoredFor(context.Background(), "vecadd", rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestStoreTransientFailureDoesNotClobber(t *testing.T) {
 	if err := os.WriteFile(path, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, fromStore, err := RunWorkloadStored(context.Background(), "vecadd", rs); err != nil || !fromStore {
+	if _, fromStore, err := RunWorkloadStoredFor(context.Background(), "vecadd", rs); err != nil || !fromStore {
 		t.Fatalf("post-flap load: fromStore=%v err=%v", fromStore, err)
 	}
 }
@@ -122,13 +124,13 @@ func TestStoreTransientFailureHonorsContext(t *testing.T) {
 	}
 	rs, _, _ := transientStore(t)
 
-	defer func(d time.Duration) { storeRetryDelay = d }(storeRetryDelay)
-	storeRetryDelay = time.Hour
+	defer func(d time.Duration) { store.RetryDelay = d }(store.RetryDelay)
+	store.RetryDelay = time.Hour
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunWorkloadStored(ctx, "vecadd", rs)
+		_, _, err := RunWorkloadStoredFor(ctx, "vecadd", rs)
 		done <- err
 	}()
 	cancel()

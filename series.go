@@ -38,20 +38,3 @@ func seriesOf(a *core.Analyzer, scheme Scheme, modeBits int, windows int) (AVFSe
 	}
 	return out, nil
 }
-
-// L1AVFSeries measures the L1 MB-AVF over time, split into the given
-// number of windows.
-//
-// Deprecated: use Run.AVFSeries with the L1 structure; this wrapper
-// remains for source compatibility and forwards to the unified path.
-func (r *Run) L1AVFSeries(scheme Scheme, il Interleaving, modeBits, windows int) (AVFSeries, error) {
-	return r.AVFSeries(L1, scheme, il, modeBits, windows)
-}
-
-// VGPRAVFSeries measures the register-file MB-AVF over time.
-//
-// Deprecated: use Run.AVFSeries with the VGPR structure; this wrapper
-// remains for source compatibility and forwards to the unified path.
-func (r *Run) VGPRAVFSeries(scheme Scheme, il Interleaving, modeBits, windows int) (AVFSeries, error) {
-	return r.AVFSeries(VGPR, scheme, il, modeBits, windows)
-}

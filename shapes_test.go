@@ -49,7 +49,7 @@ func shapeRun(t *testing.T, name string) *Run {
 
 func l1avf(t *testing.T, r *Run, scheme Scheme, style Style, factor, modeBits int) AVF {
 	t.Helper()
-	avf, err := r.L1AVF(scheme, Interleaving{Style: style, Factor: factor}, modeBits)
+	avf, err := r.AVF(L1, scheme, Interleaving{Style: style, Factor: factor}, modeBits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func sectionPayloadOffsets(t *testing.T, data []byte) map[string]int {
 // TestStoreCorruptionFallsBackToSimulation flips one byte in every
 // section of a recorded artifact and checks the acceptance contract: the
 // damaged artifact is rejected with a typed error and quarantined, and
-// RunWorkloadStored transparently falls back to a fresh simulation.
+// RunWorkloadStoredFor transparently falls back to a fresh simulation.
 func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates once per section; skipped in -short")
@@ -194,7 +194,7 @@ func TestStoreCorruptionFallsBackToSimulation(t *testing.T) {
 			}
 			// The damaged file was quarantined; the fallback path simulates
 			// and re-records a good artifact.
-			got, fromStore, err := RunWorkloadStored(context.Background(), "minife", rs)
+			got, fromStore, err := RunWorkloadStoredFor(context.Background(), "minife", rs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +310,7 @@ func TestRunWorkloadStoredRoundTrip(t *testing.T) {
 	if rs.Has("minife") {
 		t.Fatal("fresh store claims to hold minife")
 	}
-	r1, fromStore, err := RunWorkloadStored(context.Background(), "minife", rs)
+	r1, fromStore, err := RunWorkloadStoredFor(context.Background(), "minife", rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestRunWorkloadStoredRoundTrip(t *testing.T) {
 	if !rs.Has("minife") {
 		t.Error("first call did not record")
 	}
-	r2, fromStore, err := RunWorkloadStored(context.Background(), "minife", rs)
+	r2, fromStore, err := RunWorkloadStoredFor(context.Background(), "minife", rs)
 	if err != nil {
 		t.Fatal(err)
 	}

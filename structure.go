@@ -63,7 +63,7 @@ func (st Structure) Styles() []Style {
 func Schemes() []Scheme { return []Scheme{NoProtection, Parity, SECDED, DECTED} }
 
 // validateQuery is the one shared parameter check behind every AVF entry
-// point (unified and legacy, total and windowed): the interleaving degree
+// point (total, windowed and SER): the interleaving degree
 // and the fault-mode width must both be positive. Layout constructors
 // additionally require the factor to divide the structure's geometry.
 func validateQuery(il Interleaving, modeBits int) error {
@@ -118,8 +118,8 @@ func (r *Run) tracker(st Structure) (*lifetime.Tracker, error) {
 }
 
 // analyzerFor builds the MB-AVF analyzer of one structure under one
-// interleaving layout — the single construction path shared by the
-// unified API, the legacy per-structure methods, and the windowed series.
+// interleaving layout — the single construction path shared by every
+// analysis entry point: totals, series, SER, policies and locality.
 func (r *Run) analyzerFor(st Structure, il Interleaving) (*core.Analyzer, error) {
 	var lay *interleave.Layout
 	var preempt, wordVersions bool
@@ -161,10 +161,12 @@ func (r *Run) analyzerFor(st Structure, il Interleaving) (*core.Analyzer, error)
 
 // AVF measures the MB-AVF of an Mx1 fault mode (modeBits adjacent bits
 // along a wordline) in the given structure under the given protection
-// scheme and interleaving layout. It is the unified entry point behind
-// the legacy L1AVF/L2AVF/VGPRAVF methods and the analysis service's
-// query routes; for the VGPR with inter-thread interleaving it applies
-// the paper's detection-preempts-SDC rule.
+// scheme and interleaving layout. It is the one entry point for every
+// structure, and the analysis service's query routes answer through it;
+// for the VGPR with inter-thread interleaving it applies the paper's
+// detection-preempts-SDC rule (registers of a 16-thread group are read
+// in lock-step, so an adjacent thread's DUE fires before an SDC
+// propagates).
 func (r *Run) AVF(st Structure, scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
 	if err := validateQuery(il, modeBits); err != nil {
 		return AVF{}, err
@@ -177,8 +179,7 @@ func (r *Run) AVF(st Structure, scheme Scheme, il Interleaving, modeBits int) (A
 }
 
 // AVFSeries measures the structure's MB-AVF over time, split into the
-// given number of windows — the unified form of L1AVFSeries and
-// VGPRAVFSeries.
+// given number of windows.
 func (r *Run) AVFSeries(st Structure, scheme Scheme, il Interleaving, modeBits, windows int) (AVFSeries, error) {
 	if err := validateQuery(il, modeBits); err != nil {
 		return AVFSeries{}, err

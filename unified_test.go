@@ -3,106 +3,17 @@ package mbavf
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 )
 
-// TestUnifiedAVFEquivalence pins the API redesign's compatibility
-// contract: the deprecated per-structure entry points and the unified
-// Run.AVF produce bit-identical numbers for every structure, scheme and
-// interleaving style.
-func TestUnifiedAVFEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
-	}
-	r := minife(t)
-	// (factor, mode) pairs sample the interleaving/fault-mode plane; the
-	// full cross product adds minutes without adding coverage (the scheme
-	// and style change the analyzer's reaction model and layout, which is
-	// what the grid covers; factor/mode only scale the geometry).
-	points := []struct{ factor, mode int }{{1, 2}, {2, 2}, {4, 4}}
-	schemes := Schemes()
-	for _, st := range Structures() {
-		for _, scheme := range schemes {
-			for _, style := range st.Styles() {
-				for _, p := range points {
-					il := Interleaving{Style: style, Factor: p.factor}
-					got, err := r.AVF(st, scheme, il, p.mode)
-					if err != nil {
-						t.Fatalf("AVF(%s,%s,%s,x%d,%d): %v", st, scheme, style, p.factor, p.mode, err)
-					}
-					var want AVF
-					switch st {
-					case L1:
-						want, err = r.L1AVF(scheme, il, p.mode)
-					case L2:
-						want, err = r.L2AVF(scheme, il, p.mode)
-					case VGPR:
-						want, err = r.VGPRAVF(scheme, il, p.mode)
-					}
-					if err != nil {
-						t.Fatalf("legacy %s: %v", st, err)
-					}
-					if got != want {
-						t.Errorf("AVF(%s,%s,%s,x%d,%d) = %+v, legacy = %+v", st, scheme, style, p.factor, p.mode, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestUnifiedSeriesEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
-	}
-	r := minife(t)
-	il := Interleaving{Style: StyleLogical, Factor: 2}
-	got, err := r.AVFSeries(L1, SECDED, il, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.L1AVFSeries(SECDED, il, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AVFSeries(L1) = %+v, legacy = %+v", got, want)
-	}
-
-	vil := Interleaving{Style: StyleIntraThread, Factor: 2}
-	got, err = r.AVFSeries(VGPR, Parity, vil, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err = r.VGPRAVFSeries(Parity, vil, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AVFSeries(VGPR) = %+v, legacy = %+v", got, want)
-	}
-}
-
+// TestUnifiedSEREquivalence bounds the SER roll-up: rates are finite,
+// non-negative and within the total raw rate of Table III.
 func TestUnifiedSEREquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full workload; skipped in -short (the -race CI leg)")
 	}
 	r := minife(t)
-	il := Interleaving{Style: StyleInterThread, Factor: 4}
-	got, err := r.SER(VGPR, SECDED, il)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := r.VGPRSER(SECDED, il)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("SER(VGPR) = %+v, legacy = %+v", got, want)
-	}
-	// Cache SER has no legacy counterpart; it must at least be finite and
-	// bounded by the total raw rate.
+	// Cache SER must at least be finite and bounded by the total raw rate.
 	cs, err := r.SER(L1, Parity, Interleaving{Style: StyleLogical, Factor: 1})
 	if err != nil {
 		t.Fatal(err)
