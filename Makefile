@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race race-solver ci bench bench-baseline bench-compare fuzz-smoke serve-smoke fabric-smoke store-smoke clean
+.PHONY: all build fmt-check vet test race race-solver ci bench bench-baseline bench-compare fuzz-smoke serve-smoke fabric-smoke store-smoke clean
 
 all: vet build test
 
 build:
 	$(GO) build ./...
+
+# Formatting drift fails: gofmt must list no file.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -22,9 +26,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Focused race pass over the ACE solver stack (packed + scalar paths,
-# timeline packing, row remap): these packages run full — not -short —
-# so the concurrent both-paths solver test executes under the detector.
+# Focused race pass over the ACE solver stack (packed and scalar
+# solvers, timeline packing, row remap): these packages run full — not
+# -short — so the test that solves one analyzer concurrently on both
+# solvers executes under the detector.
 race-solver:
 	$(GO) test -race -count=1 ./internal/core ./internal/lifetime ./internal/interleave
 
@@ -54,7 +59,7 @@ store-smoke:
 # fabric race pass (`race` covers the fabric in -short form), the fuzz
 # smoke (`make fuzz-smoke`) and the non-blocking bench and trace steps.
 # The staticcheck job needs the tool installed: `staticcheck ./...`.
-ci: vet build test race race-solver serve-smoke fabric-smoke store-smoke
+ci: fmt-check vet build test race race-solver serve-smoke fabric-smoke store-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

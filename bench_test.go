@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"mbavf/internal/bitgeom"
-	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/experiments"
 	"mbavf/internal/interleave"
@@ -153,12 +152,12 @@ func BenchmarkAnalyzeVGPR(b *testing.B) {
 }
 
 // BenchmarkSolve measures one MB-AVF analysis pass per structure and
-// fault mode on both solver paths: the word-packed bit-parallel default
-// ("packed") and the per-bit scalar reference ("scalar"). The two are
-// proven bit-identical (internal/core solver equivalence harness), so
-// the packed/scalar time ratio on a given sub-benchmark is exactly the
-// speedup of the bit-parallel solver on that analysis. The l1/way-x2/2x1
-// case is the Figure 4 analysis path.
+// fault mode through the public API. Every case is an Mx1 mode, so it
+// runs on the word-packed solver; the "/packed" suffix keeps the names
+// of the recorded baseline. The matching per-bit scalar walk is
+// benchmarked beside it in internal/core (BenchmarkSolve there), whose
+// packed/scalar ratio is the bit-parallel solver's speedup. The
+// l1/way-x2/2x1 case is the Figure 4 analysis path.
 func BenchmarkSolve(b *testing.B) {
 	run, err := RunWorkload("minife")
 	if err != nil {
@@ -178,17 +177,13 @@ func BenchmarkSolve(b *testing.B) {
 		{"vgpr/tx-x4/4x1", VGPR, Interleaving{Style: StyleInterThread, Factor: 4}, Parity, 4},
 	}
 	for _, c := range cases {
-		for _, solver := range []string{"packed", "scalar"} {
-			b.Run(c.name+"/"+solver, func(b *testing.B) {
-				core.SetScalarSolve(solver == "scalar")
-				defer core.SetScalarSolve(false)
-				for i := 0; i < b.N; i++ {
-					if _, err := run.AVF(c.st, c.scheme, c.il, c.modeBits); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.name+"/packed", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := run.AVF(c.st, c.scheme, c.il, c.modeBits); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

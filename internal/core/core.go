@@ -114,11 +114,6 @@ type Analyzer struct {
 	// groups. Zero means GOMAXPROCS; one forces a serial sweep. Results
 	// are identical at any setting (fault groups are independent).
 	Parallelism int
-	// ScalarSolve forces the per-bit scalar sweep even for fault modes
-	// the word-packed solver could serve. Results are bit-identical on
-	// both paths; the flag exists as an escape hatch (-scalar-solve) and
-	// for the equivalence tests that prove that identity.
-	ScalarSolve bool
 }
 
 // Validate checks that the layout and tracker describe the same structure.
@@ -352,8 +347,19 @@ func (s *Series) PublishGauges(structure string) {
 }
 
 // AnalyzeWindowed computes the MB-AVF of fault mode under scheme, also
-// accumulating per-window counters when window > 0.
+// accumulating per-window counters when window > 0. The mode alone picks
+// the solver: the word-packed row sweep serves every PackedEligible mode
+// (all of the paper's Mx1 modes), and the per-bit scalar walk serves
+// taller or wider patterns. Both are bit-identical where both apply.
 func (a *Analyzer) AnalyzeWindowed(scheme ecc.Scheme, mode bitgeom.FaultMode, window interval.Cycle) (*Series, error) {
+	return a.analyzeWindowed(scheme, mode, window, PackedEligible(mode))
+}
+
+// analyzeWindowed is AnalyzeWindowed on the solver that packed selects:
+// the word-packed row sweep, which needs a PackedEligible mode, or the
+// per-bit scalar walk. The equivalence tests pass packed=false to run
+// the scalar walk on modes the packed solver also serves.
+func (a *Analyzer) analyzeWindowed(scheme ecc.Scheme, mode bitgeom.FaultMode, window interval.Cycle, packed bool) (*Series, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
@@ -393,18 +399,14 @@ func (a *Analyzer) AnalyzeWindowed(scheme ecc.Scheme, mode bitgeom.FaultMode, wi
 	}
 	a.accumulateBits(s, window)
 
-	// The packed word-parallel solver serves every single-row mode up to
-	// 64 columns wide (all of the paper's Mx1 modes); taller or wider
-	// patterns and the -scalar-solve escape hatch take the per-bit
-	// reference sweep. Both paths are bit-identical; the packed path
-	// shards by wordline (its unit of work), the scalar path by group.
-	usePacked := PackedEligible(mode) && !a.ScalarSolve && !ScalarSolveForced()
+	// The packed path shards by wordline (its unit of work), the scalar
+	// path by fault group.
 	units := groups
-	if usePacked {
+	if packed {
 		units = geom.Rows
 	}
 	sweep := func(sh *Series, lo, hi int) {
-		if usePacked {
+		if packed {
 			a.sweepRowsPacked(scheme, mode, sh, window, lo, hi)
 		} else {
 			a.sweepGroups(scheme, mode, sh, window, lo, hi)

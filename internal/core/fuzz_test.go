@@ -158,17 +158,15 @@ func FuzzPackedTimeline(f *testing.F) {
 		schemes := []ecc.Scheme{ecc.None{}, ecc.Parity{}, ecc.SECDED{}}
 		scheme := schemes[len(data)%len(schemes)]
 		mode := bitgeom.Mx1(1 + len(data)%4)
-		a.ScalarSolve = false
 		packed, err := a.Analyze(scheme, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.ScalarSolve = true
-		scalar, err := a.Analyze(scheme, mode)
+		scalar, err := a.analyzeWindowed(scheme, mode, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *packed != *scalar {
+		if *packed != scalar.Total {
 			t.Fatalf("scheme %s mode %s: solver mismatch\npacked %+v\nscalar %+v",
 				scheme.Name(), mode.Name(), packed, scalar)
 		}

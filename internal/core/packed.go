@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/ecc"
@@ -40,18 +39,6 @@ import (
 // scheme x fault-mode combination.
 
 var obsPackedRows = obs.NewCounter("core.packed_rows")
-
-// scalarSolve is the process-wide escape hatch behind the -scalar-solve
-// flag: when set, every analysis takes the scalar per-bit path even for
-// packable fault modes.
-var scalarSolve atomic.Bool
-
-// SetScalarSolve toggles the process-wide scalar-solver escape hatch
-// (the -scalar-solve flag on mbavf-exp and mbavf-serve).
-func SetScalarSolve(v bool) { scalarSolve.Store(v) }
-
-// ScalarSolveForced reports whether the escape hatch is set.
-func ScalarSolveForced() bool { return scalarSolve.Load() }
 
 // PackedEligible reports whether the word-packed solver can serve the
 // given fault mode: a single-wordline pattern at most 64 columns wide.

@@ -98,11 +98,8 @@ func randomTimelineAnalyzer(r *rand.Rand, lay *interleave.Layout, wordVersions b
 // returned.
 func solveBoth(t *testing.T, a *Analyzer, scheme ecc.Scheme, mode bitgeom.FaultMode, window uint64) (packed, scalar *Series, ok bool) {
 	t.Helper()
-	a.ScalarSolve = false
 	packed, errP := a.AnalyzeWindowed(scheme, mode, window)
-	a.ScalarSolve = true
-	scalar, errS := a.AnalyzeWindowed(scheme, mode, window)
-	a.ScalarSolve = false
+	scalar, errS := a.analyzeWindowed(scheme, mode, window, false)
 	if (errP == nil) != (errS == nil) {
 		t.Fatalf("scheme %s mode %s: packed err %v, scalar err %v", scheme.Name(), mode.Name(), errP, errS)
 	}
@@ -265,7 +262,8 @@ func TestSolverEquivalenceStandardLayouts(t *testing.T) {
 
 // TestPackedPathTaken pins the dispatch: an eligible mode must actually
 // run through the packed solver (not silently fall back to scalar, which
-// would make every equivalence assertion vacuous).
+// would make every equivalence assertion vacuous), and a multi-row mode
+// must take the scalar walk, the only solver that serves it.
 func TestPackedPathTaken(t *testing.T) {
 	obs.Enable()
 	defer func() {
@@ -284,23 +282,11 @@ func TestPackedPathTaken(t *testing.T) {
 	}
 
 	before = obs.NewCounter("core.packed_rows").Value()
-	a.ScalarSolve = true
-	if _, err := a.Analyze(ecc.Parity{}, bitgeom.Mx1(2)); err != nil {
+	if _, err := a.Analyze(ecc.Parity{}, bitgeom.Rect(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if after := obs.NewCounter("core.packed_rows").Value(); after != before {
-		t.Fatal("ScalarSolve analyzer still took the packed path")
-	}
-	a.ScalarSolve = false
-
-	SetScalarSolve(true)
-	defer SetScalarSolve(false)
-	before = obs.NewCounter("core.packed_rows").Value()
-	if _, err := a.Analyze(ecc.Parity{}, bitgeom.Mx1(2)); err != nil {
-		t.Fatal(err)
-	}
-	if after := obs.NewCounter("core.packed_rows").Value(); after != before {
-		t.Fatal("-scalar-solve escape hatch still took the packed path")
+		t.Fatal("multi-row mode took the packed path")
 	}
 }
 
@@ -314,11 +300,7 @@ func TestSolverConcurrentPaths(t *testing.T) {
 	base := randomTimelineAnalyzer(r, lay, false, 96, false)
 	base.Parallelism = 4
 
-	packedA := *base
-	scalarA := *base
-	scalarA.ScalarSolve = true
-
-	want, err := packedA.AnalyzeWindowed(ecc.SECDED{}, bitgeom.Mx1(2), 17)
+	want, err := base.AnalyzeWindowed(ecc.SECDED{}, bitgeom.Mx1(2), 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,15 +309,11 @@ func TestSolverConcurrentPaths(t *testing.T) {
 	results := make([]*Series, 8)
 	errs := make([]error, 8)
 	for i := range results {
-		a := &packedA
-		if i%2 == 1 {
-			a = &scalarA
-		}
 		wg.Add(1)
-		go func(i int, a *Analyzer) {
+		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = a.AnalyzeWindowed(ecc.SECDED{}, bitgeom.Mx1(2), 17)
-		}(i, a)
+			results[i], errs[i] = base.analyzeWindowed(ecc.SECDED{}, bitgeom.Mx1(2), 17, i%2 == 0)
+		}(i)
 	}
 	wg.Wait()
 	for i := range results {

@@ -9,7 +9,6 @@ import (
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 	"mbavf/internal/stats"
 )
@@ -26,14 +25,13 @@ func locality(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		logical, wayPhys, idxPhys, err := l1Layouts(s, 2)
-		if err != nil {
-			return nil, err
-		}
 		mode := bitgeom.Mx1(2)
 		row := []any{name}
-		for _, lay := range []*interleave.Layout{logical, wayPhys, idxPhys} {
-			an := l1Analyzer(s, lay)
+		for _, style := range cacheStyles {
+			an, err := analyzer(s, core.L1, style, 2)
+			if err != nil {
+				return nil, err
+			}
 			loc, err := an.ACELocality(mode)
 			if err != nil {
 				return nil, err
@@ -65,12 +63,10 @@ func schemes(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+		an, err := analyzer(s, core.L1, core.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
 		row := []any{name}
 		for _, c := range codes {
 			r, err := an.Analyze(c, bitgeom.Mx1(4))
@@ -105,12 +101,10 @@ func geometry(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+		an, err := analyzer(s, core.L1, core.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
 		row := []any{name}
 		for _, m := range modes {
 			r, err := an.Analyze(ecc.CRC{Width: 8}, m)
@@ -143,28 +137,19 @@ func l2(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lineBits := s.LineBytes * 8
-		l1sets, l1ways := s.L1Slots()
-		l1lay, err := interleave.WayPhysical(l1sets, l1ways, lineBits, 2)
+		a1, err := analyzer(s, core.L1, core.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		r1, err := l1Analyzer(s, l1lay).Analyze(ecc.Parity{}, mode)
+		r1, err := a1.Analyze(ecc.Parity{}, mode)
 		if err != nil {
 			return nil, err
 		}
-		l2sets, l2ways := s.L2Slots()
-		l2lay, err := interleave.WayPhysical(l2sets, l2ways, lineBits, 2)
+		a2, err := analyzer(s, core.L2, core.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		r2 := &core.Analyzer{
-			Layout:      l2lay,
-			Tracker:     s.L2Tracker,
-			Graph:       s.Graph,
-			TotalCycles: s.Cycles,
-		}
-		res2, err := r2.Analyze(ecc.Parity{}, mode)
+		res2, err := a2.Analyze(ecc.Parity{}, mode)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 )
 
@@ -38,12 +37,11 @@ func avft(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		l1lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+		l1, err := analyzer(s, core.L1, core.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		vlay, err := vgprLayout(s, true, 2)
+		vgpr, err := analyzer(s, core.VGPR, core.InterThread, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -55,8 +53,8 @@ func avft(o Options) ([]*report.Table, error) {
 			label string
 			an    *core.Analyzer
 		}{
-			{"l1", l1Analyzer(s, l1lay)},
-			{"vgpr", vgprAnalyzer(s, vlay, false)},
+			{"l1", l1},
+			{"vgpr", vgpr},
 		}
 		for _, st := range structures {
 			for _, m := range []int{2, 4} {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"mbavf/internal/bitgeom"
+	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 	"mbavf/internal/stats"
 )
@@ -23,15 +23,15 @@ func fig4(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		logical, wayPhys, idxPhys, err := l1Layouts(s, 2)
-		if err != nil {
-			return nil, err
-		}
 		mode := bitgeom.Mx1(2)
 		var ratios [3]float64
 		var sb float64
-		for i, lay := range []*interleave.Layout{logical, wayPhys, idxPhys} {
-			r, err := l1Analyzer(s, lay).Analyze(ecc.Parity{}, mode)
+		for i, style := range cacheStyles {
+			an, err := analyzer(s, core.L1, style, 2)
+			if err != nil {
+				return nil, err
+			}
+			r, err := an.Analyze(ecc.Parity{}, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -54,25 +54,28 @@ func fig5(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	logical, wayPhys, idxPhys, err := l1Layouts(s, 2)
-	if err != nil {
-		return nil, err
-	}
 	window := (s.Cycles + uint64(o.Windows) - 1) / uint64(o.Windows)
 	if window == 0 {
 		window = 1
 	}
 	mode := bitgeom.Mx1(2)
+	series := func(style core.Style) (*core.Series, error) {
+		an, err := analyzer(s, core.L1, style, 2)
+		if err != nil {
+			return nil, err
+		}
+		return an.AnalyzeWindowed(ecc.Parity{}, mode, window)
+	}
 
-	idxSeries, err := l1Analyzer(s, idxPhys).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	idxSeries, err := series(core.IndexPhysical)
 	if err != nil {
 		return nil, err
 	}
-	logSeries, err := l1Analyzer(s, logical).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	logSeries, err := series(core.Logical)
 	if err != nil {
 		return nil, err
 	}
-	waySeries, err := l1Analyzer(s, wayPhys).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	waySeries, err := series(core.WayPhysical)
 	if err != nil {
 		return nil, err
 	}
@@ -114,12 +117,10 @@ func fig6(o Options) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sets, ways := s.L1Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 4)
+			an, err := analyzer(s, core.L1, core.WayPhysical, 4)
 			if err != nil {
 				return nil, err
 			}
-			an := l1Analyzer(s, lay)
 			row := []any{name}
 			for i, m := range modes {
 				r, err := an.Analyze(scheme, bitgeom.Mx1(m))
@@ -166,17 +167,17 @@ func fig8(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, wayPhys, idxPhys, err := l1Layouts(s, 2)
-	if err != nil {
-		return nil, err
-	}
 	window := (s.Cycles + uint64(o.Windows) - 1) / uint64(o.Windows)
 	if window == 0 {
 		window = 1
 	}
 	mode := bitgeom.Mx1(3)
-	mk := func(lay *interleave.Layout, name string) (*report.Table, error) {
-		series, err := l1Analyzer(s, lay).AnalyzeWindowed(ecc.Parity{}, mode, window)
+	mk := func(style core.Style, name string) (*report.Table, error) {
+		an, err := analyzer(s, core.L1, style, 2)
+		if err != nil {
+			return nil, err
+		}
+		series, err := an.AnalyzeWindowed(ecc.Parity{}, mode, window)
 		if err != nil {
 			return nil, err
 		}
@@ -189,12 +190,12 @@ func fig8(o Options) ([]*report.Table, error) {
 			series.Total.TrueDUEMBAVF()+series.Total.FalseDUEMBAVF())
 		return t, nil
 	}
-	a, err := mk(idxPhys, "x2 index-physical")
+	a, err := mk(core.IndexPhysical, "x2 index-physical")
 	if err != nil {
 		return nil, err
 	}
 	a.Caption = "SDC dominates 3x1 outcomes, but a non-trivial DUE fraction remains (single-flip regions detect)."
-	b, err := mk(wayPhys, "x2 way-physical")
+	b, err := mk(core.WayPhysical, "x2 way-physical")
 	if err != nil {
 		return nil, err
 	}
@@ -216,12 +217,10 @@ func fig9(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+		an, err := analyzer(s, core.L1, core.WayPhysical, 2)
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
 		row := []any{name}
 		for _, m := range modes {
 			r, err := an.Analyze(ecc.SECDED{}, bitgeom.Mx1(m))
@@ -252,12 +251,10 @@ func fig10(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sets, ways := s.L1Slots()
-		lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 4)
+		an, err := analyzer(s, core.L1, core.WayPhysical, 4)
 		if err != nil {
 			return nil, err
 		}
-		an := l1Analyzer(s, lay)
 		row := []any{name}
 		for _, m := range modes {
 			r, err := an.Analyze(ecc.Parity{}, bitgeom.Mx1(m))

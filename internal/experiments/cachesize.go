@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"mbavf/internal/bitgeom"
+	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/report"
 	"mbavf/internal/sim"
 	"mbavf/internal/stats"
@@ -45,12 +45,11 @@ func cachesize(o Options) ([]*report.Table, error) {
 				return nil, err
 			}
 			s := sess.Measurements()
-			sets, ways := s.L1Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
+			an, err := analyzer(s, core.L1, core.WayPhysical, 2)
 			if err != nil {
 				return nil, err
 			}
-			r, err := l1Analyzer(s, lay).Analyze(ecc.Parity{}, bitgeom.Mx1(2))
+			r, err := an.Analyze(ecc.Parity{}, bitgeom.Mx1(2))
 			if err != nil {
 				return nil, err
 			}

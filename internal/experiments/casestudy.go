@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mbavf/internal/bitgeom"
+	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/faultrate"
 	"mbavf/internal/report"
@@ -12,22 +13,22 @@ import (
 
 // vgprConfig is one design point of the Section VIII case study.
 type vgprConfig struct {
-	label       string
-	scheme      ecc.Scheme
-	interThread bool
-	factor      int
+	label  string
+	scheme ecc.Scheme
+	style  core.Style
+	factor int
 }
 
 func caseStudyConfigs() []vgprConfig {
 	return []vgprConfig{
-		{"parity rx2", ecc.Parity{}, false, 2},
-		{"parity rx4", ecc.Parity{}, false, 4},
-		{"parity tx2", ecc.Parity{}, true, 2},
-		{"parity tx4", ecc.Parity{}, true, 4},
-		{"sec-ded rx2", ecc.SECDED{}, false, 2},
-		{"sec-ded rx4", ecc.SECDED{}, false, 4},
-		{"sec-ded tx2", ecc.SECDED{}, true, 2},
-		{"sec-ded tx4", ecc.SECDED{}, true, 4},
+		{"parity rx2", ecc.Parity{}, core.IntraThread, 2},
+		{"parity rx4", ecc.Parity{}, core.IntraThread, 4},
+		{"parity tx2", ecc.Parity{}, core.InterThread, 2},
+		{"parity tx4", ecc.Parity{}, core.InterThread, 4},
+		{"sec-ded rx2", ecc.SECDED{}, core.IntraThread, 2},
+		{"sec-ded rx4", ecc.SECDED{}, core.IntraThread, 4},
+		{"sec-ded tx2", ecc.SECDED{}, core.InterThread, 2},
+		{"sec-ded tx4", ecc.SECDED{}, core.InterThread, 4},
 	}
 }
 
@@ -64,11 +65,10 @@ func fig11(o Options) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			lay, err := vgprLayout(s, cfg.interThread, cfg.factor)
+			an, err := analyzer(s, core.VGPR, cfg.style, cfg.factor)
 			if err != nil {
 				return nil, err
 			}
-			an := vgprAnalyzer(s, lay, cfg.interThread)
 			var serSDC, serApprox, serDUE float64
 			var sbLive float64
 			for _, mr := range rates {

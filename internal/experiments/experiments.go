@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"mbavf/internal/core"
-	"mbavf/internal/interleave"
 	"mbavf/internal/obs"
 	"mbavf/internal/report"
 	"mbavf/internal/sim"
@@ -163,56 +162,29 @@ func ResetCache(names ...string) {
 	}
 }
 
-// l1Analyzer builds an analyzer over CU0's L1 data array with the given
-// layout.
-func l1Analyzer(s *sim.Measurements, layout *interleave.Layout) *core.Analyzer {
-	return &core.Analyzer{
-		Name:        s.Workload,
-		Layout:      layout,
-		Tracker:     s.L1Tracker,
-		Graph:       s.Graph,
-		TotalCycles: s.Cycles,
-	}
-}
+// cacheStyles are the three cache interleaving styles Figure 4 and the
+// locality ablation compare, in their column order.
+var cacheStyles = []core.Style{core.Logical, core.WayPhysical, core.IndexPhysical}
 
-// vgprAnalyzer builds an analyzer over CU0's vector register file.
-func vgprAnalyzer(s *sim.Measurements, layout *interleave.Layout, preempt bool) *core.Analyzer {
-	return &core.Analyzer{
-		Name:                 s.Workload,
-		Layout:               layout,
-		Tracker:              s.VGPRTracker,
-		Graph:                s.Graph,
-		WordVersions:         true,
-		TotalCycles:          s.Cycles,
-		DetectionPreemptsSDC: preempt,
-	}
-}
-
-// l1Layouts returns the three Figure 4 interleaving layouts for the L1 at
-// the given factor.
-func l1Layouts(s *sim.Measurements, factor int) (logical, wayPhys, idxPhys *interleave.Layout, err error) {
-	sets, ways := s.L1Slots()
-	lineBits := s.LineBytes * 8
-	logical, err = interleave.Logical(sets*ways, lineBits, factor)
+// analyzer builds the analyzer of one structure of run s under one
+// interleaving, by the structure × style rule the public API shares
+// (core.NewAnalyzer), over s's tracker and liveness graph.
+func analyzer(s *sim.Measurements, st core.Structure, style core.Style, factor int) (*core.Analyzer, error) {
+	a, err := core.NewAnalyzer(s, st, style, factor)
 	if err != nil {
-		return
+		return nil, err
 	}
-	wayPhys, err = interleave.WayPhysical(sets, ways, lineBits, factor)
-	if err != nil {
-		return
+	a.Name = s.Workload
+	a.Graph = s.Graph
+	switch st {
+	case core.L1:
+		a.Tracker = s.L1Tracker
+	case core.L2:
+		a.Tracker = s.L2Tracker
+	case core.VGPR:
+		a.Tracker = s.VGPRTracker
 	}
-	idxPhys, err = interleave.IndexPhysical(sets, ways, lineBits, factor)
-	return
-}
-
-// vgprLayout builds an intra- or inter-thread VGPR layout.
-func vgprLayout(s *sim.Measurements, interThread bool, factor int) (*interleave.Layout, error) {
-	threads := s.VGPRThreads
-	regs := s.VGPRRegs
-	if interThread {
-		return interleave.InterThread(threads, regs, 32, factor)
-	}
-	return interleave.IntraThread(threads, regs, 32, factor)
+	return a, nil
 }
 
 // RenderAll renders tables as text or CSV.

@@ -14,7 +14,6 @@ import (
 	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/interval"
 	"mbavf/internal/obs"
 	"mbavf/internal/policy"
@@ -70,50 +69,12 @@ func policies(o Options) ([]*report.Table, error) {
 	}
 
 	structures := []struct {
-		name string
-		an   func(o Options, wl string) (*core.Analyzer, error)
+		name  core.Structure
+		style core.Style
 	}{
-		{"l1", func(o Options, wl string) (*core.Analyzer, error) {
-			s, err := run(o, wl)
-			if err != nil {
-				return nil, err
-			}
-			sets, ways := s.L1Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
-			if err != nil {
-				return nil, err
-			}
-			return l1Analyzer(s, lay), nil
-		}},
-		{"l2", func(o Options, wl string) (*core.Analyzer, error) {
-			s, err := run(o, wl)
-			if err != nil {
-				return nil, err
-			}
-			sets, ways := s.L2Slots()
-			lay, err := interleave.WayPhysical(sets, ways, s.LineBytes*8, 2)
-			if err != nil {
-				return nil, err
-			}
-			return &core.Analyzer{
-				Name:        s.Workload,
-				Layout:      lay,
-				Tracker:     s.L2Tracker,
-				Graph:       s.Graph,
-				TotalCycles: s.Cycles,
-			}, nil
-		}},
-		{"vgpr", func(o Options, wl string) (*core.Analyzer, error) {
-			s, err := run(o, wl)
-			if err != nil {
-				return nil, err
-			}
-			lay, err := vgprLayout(s, true, 2)
-			if err != nil {
-				return nil, err
-			}
-			return vgprAnalyzer(s, lay, true), nil
-		}},
+		{core.L1, core.WayPhysical},
+		{core.L2, core.WayPhysical},
+		{core.VGPR, core.InterThread},
 	}
 
 	mode := bitgeom.Mx1(4)
@@ -136,7 +97,11 @@ func policies(o Options) ([]*report.Table, error) {
 			headerDelta...)
 		delta.Caption = "Zero rows are the degenerate policies (the bit-identity anchor); negative dDUE is reporting deferred or avoided, positive dDUE/dSDC is temporal exposure."
 		for _, wl := range policyWorkloads(o) {
-			an, err := st.an(o, wl)
+			s, err := run(o, wl)
+			if err != nil {
+				return nil, err
+			}
+			an, err := analyzer(s, st.name, st.style, 2)
 			if err != nil {
 				return nil, err
 			}

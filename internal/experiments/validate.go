@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mbavf/internal/bitgeom"
+	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/inject"
 	"mbavf/internal/report"
@@ -35,11 +36,11 @@ func validate(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lay, err := vgprLayout(s, false, 1)
+		an, err := analyzer(s, core.VGPR, core.IntraThread, 1)
 		if err != nil {
 			return nil, err
 		}
-		res, err := vgprAnalyzer(s, lay, false).Analyze(ecc.None{}, bitgeom.Mx1(1))
+		res, err := an.Analyze(ecc.None{}, bitgeom.Mx1(1))
 		if err != nil {
 			return nil, err
 		}

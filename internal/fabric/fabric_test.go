@@ -155,13 +155,13 @@ func TestBitIdenticalAcrossFleets(t *testing.T) {
 			}
 			chaosCfg := fastConfig(w1.URL, w2.URL, w3.URL)
 			chaosCfg.Transport = NewChaosTransport(ChaosConfig{
-				Seed:        int64(len(name)) + 41,
-				DropRequest: 0.15,
+				Seed:         int64(len(name)) + 41,
+				DropRequest:  0.15,
 				DropResponse: 0.10,
-				Err5xx:      0.10,
-				Corrupt:     0.10,
-				Delay:       0.20,
-				MaxDelay:    5 * time.Millisecond,
+				Err5xx:       0.10,
+				Corrupt:      0.10,
+				Delay:        0.20,
+				MaxDelay:     5 * time.Millisecond,
 			}, nil)
 			cases = append(cases, struct {
 				label string
@@ -621,7 +621,9 @@ func TestChaosTransportInjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out struct{ OK bool `json:"ok"` }
+	var out struct {
+		OK bool `json:"ok"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || !out.OK {
 		t.Errorf("zero-probability chaos mangled the response: %v %+v", err, out)
 	}
@@ -632,7 +634,9 @@ func TestChaosTransportInjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var out2 struct{ OK bool `json:"ok"` }
+	var out2 struct {
+		OK bool `json:"ok"`
+	}
 	derr := json.NewDecoder(resp2.Body).Decode(&out2)
 	if derr == nil && out2.OK && corrupt.Injected()["corrupt"] == 0 {
 		t.Error("Corrupt=1 left the body untouched")

@@ -202,7 +202,10 @@ func TestRoutesAndErrors(t *testing.T) {
 		t.Errorf("workloads route: %+v", wls)
 	}
 
-	// Client errors map to their codes before any simulation happens.
+	// Client errors map to their codes. What the query alone shows fails
+	// before any simulation; a factor that does not divide the structure
+	// and a mode wider than a wordline need the run's geometry, and fail
+	// before any analysis.
 	for _, tc := range []struct {
 		url  string
 		code int
@@ -212,6 +215,8 @@ func TestRoutesAndErrors(t *testing.T) {
 		{"/api/v1/avf?workload=vecadd&structure=l1&scheme=parity&style=intra-thread&factor=2&mode=2", http.StatusBadRequest},
 		{"/api/v1/avf?workload=vecadd&structure=l1&scheme=parity&style=logical&factor=0&mode=2", http.StatusBadRequest},
 		{"/api/v1/avf?workload=vecadd&structure=l1&scheme=parity&style=logical&factor=2&mode=0", http.StatusBadRequest},
+		{"/api/v1/avf?workload=vecadd&structure=l1&scheme=parity&style=logical&factor=3&mode=2", http.StatusBadRequest},
+		{"/api/v1/avf?workload=vecadd&structure=l1&scheme=parity&style=logical&factor=2&mode=513", http.StatusBadRequest},
 		{"/api/v1/avf?workload=nope&structure=l1&scheme=parity&style=logical&factor=2&mode=2", http.StatusNotFound},
 		{"/api/v1/jobs/job-999999", http.StatusNotFound},
 	} {

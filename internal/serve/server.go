@@ -37,30 +37,32 @@ var (
 	obsSimWaiting = obs.NewGauge("serve.sim_queue_depth")
 )
 
+// Fixed service limits.
+const (
+	// cacheShards is the shard count of both caches.
+	cacheShards = 4
+	// resultsPerShard bounds the per-query AVF/SER result cache.
+	resultsPerShard = 512
+	// jobRetention is how many finished jobs stay queryable.
+	jobRetention = 64
+	// maxBatch bounds the number of queries in one batch request.
+	maxBatch = 256
+)
+
 // Config tunes the analysis service.
 type Config struct {
-	// CacheShards is the shard count of both caches (default 4).
-	CacheShards int
 	// RunsPerShard bounds the heavyweight run cache: each shard keeps at
 	// most this many instrumented simulation sessions (default 4).
 	RunsPerShard int
-	// ResultsPerShard bounds the per-query AVF/SER result cache
-	// (default 512).
-	ResultsPerShard int
 	// MaxSims bounds concurrent simulations (default GOMAXPROCS).
 	MaxSims int
 	// MaxJobs bounds concurrent asynchronous jobs (default 1; campaigns
 	// parallelize internally).
 	MaxJobs int
-	// JobRetention is how many finished jobs stay queryable (default 64).
-	JobRetention int
 	// RequestTimeout bounds one synchronous request, including any
 	// simulation it has to wait for (default 5m; jobs are not subject to
 	// it).
 	RequestTimeout time.Duration
-	// MaxBatch bounds the number of queries in one batch request
-	// (default 256).
-	MaxBatch int
 	// Store, when non-nil, is the persistent run-artifact tier below the
 	// in-memory run cache: cache miss -> store load (milliseconds) ->
 	// simulate and record. A warm store lets a cold process answer
@@ -89,14 +91,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheShards <= 0 {
-		c.CacheShards = 4
-	}
 	if c.RunsPerShard <= 0 {
 		c.RunsPerShard = 4
-	}
-	if c.ResultsPerShard <= 0 {
-		c.ResultsPerShard = 512
 	}
 	if c.MaxSims <= 0 {
 		c.MaxSims = runtime.GOMAXPROCS(0)
@@ -104,14 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1
 	}
-	if c.JobRetention <= 0 {
-		c.JobRetention = 64
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Minute
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	return c
 }
@@ -149,15 +139,15 @@ func New(cfg Config) *Server {
 	base, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		runs:    NewCache[*mbavf.Run]("serve.cache.runs", cfg.CacheShards, cfg.RunsPerShard),
-		results: NewCache[any]("serve.cache.results", cfg.CacheShards, cfg.ResultsPerShard),
+		runs:    NewCache[*mbavf.Run]("serve.cache.runs", cacheShards, cfg.RunsPerShard),
+		results: NewCache[any]("serve.cache.results", cacheShards, resultsPerShard),
 		simSem:  make(chan struct{}, cfg.MaxSims),
 		base:    base,
 		stop:    stop,
 
 		descriptions: map[string]string{},
 	}
-	s.jobs = newJobManager(base, cfg.MaxJobs, cfg.JobRetention)
+	s.jobs = newJobManager(base, cfg.MaxJobs, jobRetention)
 	for _, name := range workloads.Names() {
 		if d, err := mbavf.WorkloadDescription(name); err == nil {
 			s.descriptions[name] = d

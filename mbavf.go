@@ -24,10 +24,8 @@ import (
 	"context"
 	"fmt"
 
-	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
-	"mbavf/internal/interleave"
 	"mbavf/internal/sim"
 	"mbavf/internal/store"
 	"mbavf/internal/workloads"
@@ -76,11 +74,11 @@ type Style string
 // WayPhysical and IndexPhysical; the register file accepts IntraThread
 // (rx) and InterThread (tx).
 const (
-	StyleLogical       Style = "logical"
-	StyleWayPhysical   Style = "way-physical"
-	StyleIndexPhysical Style = "index-physical"
-	StyleIntraThread   Style = "intra-thread"
-	StyleInterThread   Style = "inter-thread"
+	StyleLogical       = Style(core.Logical)
+	StyleWayPhysical   = Style(core.WayPhysical)
+	StyleIndexPhysical = Style(core.IndexPhysical)
+	StyleIntraThread   = Style(core.IntraThread)
+	StyleInterThread   = Style(core.InterThread)
 )
 
 // Interleaving is a bit-interleaving configuration: a style plus a degree
@@ -190,46 +188,16 @@ func (r *Run) Instructions() uint64 { return r.m.Instructions }
 // for runs loaded from artifacts recorded before names were stored).
 func (r *Run) Workload() string { return r.m.Workload }
 
-func cacheLayout(il Interleaving, sets, ways, lineBits int) (*interleave.Layout, error) {
-	switch il.Style {
-	case StyleLogical:
-		return interleave.Logical(sets*ways, lineBits, il.Factor)
-	case StyleWayPhysical:
-		return interleave.WayPhysical(sets, ways, lineBits, il.Factor)
-	case StyleIndexPhysical:
-		return interleave.IndexPhysical(sets, ways, lineBits, il.Factor)
-	default:
-		return nil, fmt.Errorf("%w: interleaving style %q not valid for caches", ErrBadOption, il.Style)
-	}
-}
-
-func (r *Run) l1Layout(il Interleaving) (*interleave.Layout, error) {
-	return cacheLayout(il, r.m.L1Sets, r.m.L1Ways, r.m.LineBytes*8)
-}
-
-func (r *Run) l2Layout(il Interleaving) (*interleave.Layout, error) {
-	return cacheLayout(il, r.m.L2Sets, r.m.L2Ways, r.m.LineBytes*8)
-}
-
-func (r *Run) vgprLayout(il Interleaving) (*interleave.Layout, bool, error) {
-	switch il.Style {
-	case StyleIntraThread:
-		l, err := interleave.IntraThread(r.m.VGPRThreads, r.m.VGPRRegs, 32, il.Factor)
-		return l, false, err
-	case StyleInterThread:
-		l, err := interleave.InterThread(r.m.VGPRThreads, r.m.VGPRRegs, 32, il.Factor)
-		return l, true, err
-	default:
-		return nil, false, fmt.Errorf("%w: interleaving style %q not valid for register files", ErrBadOption, il.Style)
-	}
-}
-
 func (r *Run) analyze(a *core.Analyzer, scheme Scheme, modeBits int) (AVF, error) {
 	impl, err := scheme.impl()
 	if err != nil {
 		return AVF{}, err
 	}
-	res, err := a.Analyze(impl, bitgeom.Mx1(modeBits))
+	mode, err := a.Mx1(modeBits)
+	if err != nil {
+		return AVF{}, err
+	}
+	res, err := a.Analyze(impl, mode)
 	if err != nil {
 		return AVF{}, err
 	}

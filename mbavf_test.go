@@ -305,7 +305,7 @@ func TestExperimentFacade(t *testing.T) {
 func TestACELocalityOrdering(t *testing.T) {
 	r := minife(t)
 	get := func(style Style) float64 {
-		loc, err := r.L1ACELocality(Interleaving{Style: style, Factor: 2}, 2)
+		loc, err := r.ACELocality(L1, Interleaving{Style: style, Factor: 2}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestACELocalityOrdering(t *testing.T) {
 // locality is high.
 func TestVGPRACELocality(t *testing.T) {
 	r := minife(t)
-	loc, err := r.VGPRACELocality(Interleaving{Style: StyleInterThread, Factor: 2}, 2)
+	loc, err := r.ACELocality(VGPR, Interleaving{Style: StyleInterThread, Factor: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/interval"
@@ -80,7 +79,10 @@ func (r *Run) PolicyAVF(st Structure, policyName string, il Interleaving, modeBi
 	if err != nil {
 		return PolicyOutcome{}, err
 	}
-	mode := bitgeom.Mx1(modeBits)
+	mode, err := a.Mx1(modeBits)
+	if err != nil {
+		return PolicyOutcome{}, err
+	}
 	base, err := a.Analyze(pol.Scheme, mode)
 	if err != nil {
 		return PolicyOutcome{}, err

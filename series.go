@@ -3,7 +3,6 @@ package mbavf
 import (
 	"fmt"
 
-	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 )
 
@@ -28,7 +27,11 @@ func seriesOf(a *core.Analyzer, scheme Scheme, modeBits int, windows int) (AVFSe
 	if win == 0 {
 		win = 1
 	}
-	s, err := a.AnalyzeWindowed(impl, bitgeom.Mx1(modeBits), win)
+	mode, err := a.Mx1(modeBits)
+	if err != nil {
+		return AVFSeries{}, err
+	}
+	s, err := a.AnalyzeWindowed(impl, mode, win)
 	if err != nil {
 		return AVFSeries{}, err
 	}

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"mbavf/internal/core"
 )
 
 // shapeWorkloads is the reduced benchmark set: one FEM solver, one dense
@@ -61,17 +59,11 @@ func TestPaperShapes(t *testing.T) {
 		t.Skip("paper-shape suite simulates full workloads; skipped in -short (the -race CI leg)")
 	}
 
-	// Every shape must hold on both solver paths: the packed word-parallel
-	// default and the scalar per-bit reference it is proven bit-identical
-	// to. The workload runs are cached (shapeRun), so the second pass
-	// costs only re-analysis.
-	for _, solver := range []string{"packed", "scalar"} {
-		t.Run(solver, func(t *testing.T) {
-			core.SetScalarSolve(solver == "scalar")
-			defer core.SetScalarSolve(false)
-			paperShapes(t)
-		})
-	}
+	// Every mode below is Mx1 with M <= 8, so the public API answers it on
+	// the packed word-parallel solver. internal/core's
+	// TestScalarMatchesPackedOnShapeWorkloads proves the scalar per-bit
+	// walk bit-identical to it at every point these shapes read.
+	t.Run("packed", paperShapes)
 }
 
 func paperShapes(t *testing.T) {

@@ -1,23 +1,22 @@
 package mbavf
 
 import (
-	"errors"
 	"fmt"
 
 	"mbavf/internal/core"
 	"mbavf/internal/dataflow"
 	"mbavf/internal/faultrate"
-	"mbavf/internal/interleave"
 	"mbavf/internal/lifetime"
 )
 
 // ErrBadOption marks a request that is well-formed Go but semantically
 // invalid: an unknown structure or scheme, an interleaving style that the
-// structure does not support, a non-positive interleaving factor or fault
-// mode, or a negative experiment option. Callers (in particular the HTTP
-// serving layer) distinguish it from infrastructure failures with
-// errors.Is and map it to a client error.
-var ErrBadOption = errors.New("mbavf: bad option")
+// structure does not support, an interleaving factor that is not positive
+// or does not divide the structure's geometry, a fault mode that is not
+// positive or is wider than a wordline, or a negative experiment option.
+// Callers (in particular the HTTP serving layer) distinguish it from
+// infrastructure failures with errors.Is and map it to a client error.
+var ErrBadOption = core.ErrBadOption
 
 // Structure names an analyzable hardware structure. It is the single
 // dispatch point of the unified query API: every (structure, scheme,
@@ -28,11 +27,11 @@ type Structure string
 // Analyzable structures.
 const (
 	// L1 is compute unit 0's L1 data array.
-	L1 Structure = "l1"
+	L1 = Structure(core.L1)
 	// L2 is the shared L2 data array.
-	L2 Structure = "l2"
+	L2 = Structure(core.L2)
 	// VGPR is compute unit 0's vector register file.
-	VGPR Structure = "vgpr"
+	VGPR = Structure(core.VGPR)
 )
 
 // Structures lists every analyzable structure.
@@ -62,10 +61,11 @@ func (st Structure) Styles() []Style {
 // Schemes lists the supported protection schemes.
 func Schemes() []Scheme { return []Scheme{NoProtection, Parity, SECDED, DECTED} }
 
-// validateQuery is the one shared parameter check behind every AVF entry
-// point (total, windowed and SER): the interleaving degree
-// and the fault-mode width must both be positive. Layout constructors
-// additionally require the factor to divide the structure's geometry.
+// validateQuery is the one shared parameter check behind every query
+// entry point (total, windowed, SER, policy and locality): the
+// interleaving degree and the fault-mode width must both be positive.
+// core.NewAnalyzer additionally rejects a factor that does not divide the
+// structure's geometry, and Analyzer.Mx1 a mode wider than a wordline.
 func validateQuery(il Interleaving, modeBits int) error {
 	if il.Factor < 1 {
 		return fmt.Errorf("%w: interleaving factor %d must be >= 1", ErrBadOption, il.Factor)
@@ -119,44 +119,24 @@ func (r *Run) tracker(st Structure) (*lifetime.Tracker, error) {
 
 // analyzerFor builds the MB-AVF analyzer of one structure under one
 // interleaving layout — the single construction path shared by every
-// analysis entry point: totals, series, SER, policies and locality.
+// analysis entry point: totals, series, SER, policies and locality. The
+// structure × style rule itself is core.NewAnalyzer's, which the
+// experiments share; this attaches the run's tracker and graph.
 func (r *Run) analyzerFor(st Structure, il Interleaving) (*core.Analyzer, error) {
-	var lay *interleave.Layout
-	var preempt, wordVersions bool
-	var err error
-	switch st {
-	case L1:
-		lay, err = r.l1Layout(il)
-	case L2:
-		lay, err = r.l2Layout(il)
-	case VGPR:
-		lay, preempt, err = r.vgprLayout(il)
-		wordVersions = true
-	default:
-		return nil, fmt.Errorf("%w: unknown structure %q (have l1, l2, vgpr)", ErrBadOption, st)
-	}
+	a, err := core.NewAnalyzer(r.m, core.Structure(st), core.Style(il.Style), il.Factor)
 	if err != nil {
 		return nil, err
 	}
 	// The layout is validated before the (possibly lazily decoded)
 	// measurements are touched, so malformed queries against
 	// store-loaded runs never pay for a section decode.
-	g, err := r.graph()
-	if err != nil {
+	if a.Graph, err = r.graph(); err != nil {
 		return nil, err
 	}
-	tr, err := r.tracker(st)
-	if err != nil {
+	if a.Tracker, err = r.tracker(st); err != nil {
 		return nil, err
 	}
-	return &core.Analyzer{
-		Layout:               lay,
-		Tracker:              tr,
-		Graph:                g,
-		WordVersions:         wordVersions,
-		TotalCycles:          r.m.Cycles,
-		DetectionPreemptsSDC: preempt,
-	}, nil
+	return a, nil
 }
 
 // AVF measures the MB-AVF of an Mx1 fault mode (modeBits adjacent bits

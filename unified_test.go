@@ -86,6 +86,34 @@ func TestBadOptions(t *testing.T) {
 			_, err := r.AVFSeries(L1, Parity, Interleaving{Style: StyleLogical, Factor: 1}, 2, 0)
 			return err
 		}},
+		{"factor not dividing the line", func() error {
+			_, err := r.AVF(L1, Parity, Interleaving{Style: StyleLogical, Factor: 3}, 2)
+			return err
+		}},
+		{"mode wider than a wordline", func() error {
+			_, err := r.AVF(L1, Parity, Interleaving{Style: StyleLogical, Factor: 2}, 513)
+			return err
+		}},
+		{"series mode wider than a wordline", func() error {
+			_, err := r.AVFSeries(VGPR, Parity, Interleaving{Style: StyleInterThread, Factor: 2}, 65, 4)
+			return err
+		}},
+		{"policy factor not dividing the ways", func() error {
+			_, err := r.PolicyAVF(L2, "sec-ded", Interleaving{Style: StyleWayPhysical, Factor: 3}, 2, DefaultScrubInterval)
+			return err
+		}},
+		{"locality zero mode bits", func() error {
+			_, err := r.ACELocality(L1, Interleaving{Style: StyleLogical, Factor: 2}, 0)
+			return err
+		}},
+		{"locality mode wider than a wordline", func() error {
+			_, err := r.ACELocality(VGPR, Interleaving{Style: StyleIntraThread, Factor: 1}, 33)
+			return err
+		}},
+		{"locality style not valid for the structure", func() error {
+			_, err := r.ACELocality(L1, Interleaving{Style: StyleInterThread, Factor: 2}, 2)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		if err := tc.call(); !errors.Is(err, ErrBadOption) {
