@@ -319,6 +319,18 @@ func (a *Analyzer) Analyze(scheme ecc.Scheme, mode bitgeom.FaultMode) (*Result, 
 	return &series.Total, nil
 }
 
+// AnalyzeScalar is Analyze on the per-bit scalar walk whatever the mode:
+// the reference the word-packed sweep is bit-identical to. Production
+// analysis goes through Analyze; this lets the paper-shape tests of the
+// public API hold their shapes on the reference solver as well.
+func (a *Analyzer) AnalyzeScalar(scheme ecc.Scheme, mode bitgeom.FaultMode) (*Result, error) {
+	series, err := a.analyzeWindowed(scheme, mode, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	return &series.Total, nil
+}
+
 // Series is a windowed MB-AVF time profile: Total plus one Result per
 // window of Window cycles (the paper's Figures 5 and 8 plots).
 type Series struct {

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 
+	"mbavf/internal/bitgeom"
 	"mbavf/internal/core"
 	"mbavf/internal/ecc"
 	"mbavf/internal/sim"
@@ -188,7 +189,12 @@ func (r *Run) Instructions() uint64 { return r.m.Instructions }
 // for runs loaded from artifacts recorded before names were stored).
 func (r *Run) Workload() string { return r.m.Workload }
 
-func (r *Run) analyze(a *core.Analyzer, scheme Scheme, modeBits int) (AVF, error) {
+// solver runs one fault-mode analysis. The public entry points pass
+// (*core.Analyzer).Analyze, where the mode picks the solver; the
+// paper-shape tests also pass (*core.Analyzer).AnalyzeScalar.
+type solver func(a *core.Analyzer, scheme ecc.Scheme, mode bitgeom.FaultMode) (*core.Result, error)
+
+func (r *Run) analyze(a *core.Analyzer, scheme Scheme, modeBits int, solve solver) (AVF, error) {
 	impl, err := scheme.impl()
 	if err != nil {
 		return AVF{}, err
@@ -197,7 +203,7 @@ func (r *Run) analyze(a *core.Analyzer, scheme Scheme, modeBits int) (AVF, error
 	if err != nil {
 		return AVF{}, err
 	}
-	res, err := a.Analyze(impl, mode)
+	res, err := solve(a, impl, mode)
 	if err != nil {
 		return AVF{}, err
 	}

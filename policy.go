@@ -65,6 +65,10 @@ func validateScrub(scrubInterval int64) error {
 // the scrubbing policies and must be positive; unknown policy names and
 // non-positive intervals return ErrBadOption.
 func (r *Run) PolicyAVF(st Structure, policyName string, il Interleaving, modeBits int, scrubInterval int64) (PolicyOutcome, error) {
+	return r.policyAVF(st, policyName, il, modeBits, scrubInterval, (*core.Analyzer).Analyze)
+}
+
+func (r *Run) policyAVF(st Structure, policyName string, il Interleaving, modeBits int, scrubInterval int64, solve solver) (PolicyOutcome, error) {
 	if err := validateQuery(il, modeBits); err != nil {
 		return PolicyOutcome{}, err
 	}
@@ -83,13 +87,13 @@ func (r *Run) PolicyAVF(st Structure, policyName string, il Interleaving, modeBi
 	if err != nil {
 		return PolicyOutcome{}, err
 	}
-	base, err := a.Analyze(pol.Scheme, mode)
+	base, err := solve(a, pol.Scheme, mode)
 	if err != nil {
 		return PolicyOutcome{}, err
 	}
 	env := policy.Env{TotalCycles: a.TotalCycles, DomainBits: a.Layout.DomainBits}
 	out, err := pol.Evaluate(env, base, func(s ecc.Scheme) (*core.Result, error) {
-		return a.Analyze(s, mode)
+		return solve(a, s, mode)
 	})
 	if err != nil {
 		return PolicyOutcome{}, badPolicyErr(err)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"mbavf/internal/core"
 )
 
 // vecaddRun caches the instrumented vecadd run (the fastest bundled
@@ -49,8 +51,8 @@ func structILs() []struct {
 // with the scrub interval at infinity and report-on-detect reporting,
 // the degenerate policies must reproduce the existing parity/SEC-DED
 // DUE/SDC numbers bit-identically (==) for every structure and every
-// Table III fault mode. These modes take the packed solver; the scalar
-// walk is proven identical to it at the same points in internal/core.
+// Table III fault mode, on the packed solver the mode picks and on the
+// scalar per-bit reference walk.
 func TestPolicyLimitEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a workload; skipped in -short (the -race CI leg)")
@@ -63,34 +65,43 @@ func TestPolicyLimitEquivalence(t *testing.T) {
 		{"parity", Parity},
 		{"sec-ded", SECDED},
 	}
-	t.Run("packed", func(t *testing.T) {
-		for _, si := range structILs() {
-			for mode := 1; mode <= 8; mode++ {
-				for _, d := range degenerate {
-					want, err := r.AVF(si.st, d.scheme, si.il, mode)
-					if err != nil {
-						t.Fatalf("AVF(%s,%s,%d): %v", si.st, d.scheme, mode, err)
-					}
-					got, err := r.PolicyAVF(si.st, d.policy, si.il, mode, hugeScrub)
-					if err != nil {
-						t.Fatalf("PolicyAVF(%s,%s,%d): %v", si.st, d.policy, mode, err)
-					}
-					if got.AVF != want {
-						t.Errorf("%s/%s mode %d: policy AVF = %+v, want bit-identical %+v",
-							si.st, d.policy, mode, got.AVF, want)
-					}
-					if got.Baseline != want {
-						t.Errorf("%s/%s mode %d: baseline = %+v, want %+v",
-							si.st, d.policy, mode, got.Baseline, want)
-					}
-					if got.DeltaDUE != 0 || got.DeltaSDC != 0 || got.AccumP != 0 || got.Escalated {
-						t.Errorf("%s/%s mode %d: degenerate policy must have zero deltas: %+v",
-							si.st, d.policy, mode, got)
+	solvers := []struct {
+		name  string
+		solve solver
+	}{
+		{"packed", (*core.Analyzer).Analyze},
+		{"scalar", (*core.Analyzer).AnalyzeScalar},
+	}
+	for _, sv := range solvers {
+		t.Run(sv.name, func(t *testing.T) {
+			for _, si := range structILs() {
+				for mode := 1; mode <= 8; mode++ {
+					for _, d := range degenerate {
+						want, err := r.avf(si.st, d.scheme, si.il, mode, sv.solve)
+						if err != nil {
+							t.Fatalf("AVF(%s,%s,%d): %v", si.st, d.scheme, mode, err)
+						}
+						got, err := r.policyAVF(si.st, d.policy, si.il, mode, hugeScrub, sv.solve)
+						if err != nil {
+							t.Fatalf("PolicyAVF(%s,%s,%d): %v", si.st, d.policy, mode, err)
+						}
+						if got.AVF != want {
+							t.Errorf("%s/%s/%s mode %d: policy AVF = %+v, want bit-identical %+v",
+								sv.name, si.st, d.policy, mode, got.AVF, want)
+						}
+						if got.Baseline != want {
+							t.Errorf("%s/%s/%s mode %d: baseline = %+v, want %+v",
+								sv.name, si.st, d.policy, mode, got.Baseline, want)
+						}
+						if got.DeltaDUE != 0 || got.DeltaSDC != 0 || got.AccumP != 0 || got.Escalated {
+							t.Errorf("%s/%s/%s mode %d: degenerate policy must have zero deltas: %+v",
+								sv.name, si.st, d.policy, mode, got)
+						}
 					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestPolicyReportOnUse pins the delayed-reporting discipline against

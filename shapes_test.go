@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"mbavf/internal/core"
 )
 
 // shapeWorkloads is the reduced benchmark set: one FEM solver, one dense
@@ -45,9 +47,9 @@ func shapeRun(t *testing.T, name string) *Run {
 	return shapeRuns[name]
 }
 
-func l1avf(t *testing.T, r *Run, scheme Scheme, style Style, factor, modeBits int) AVF {
+func l1avf(t *testing.T, r *Run, solve solver, scheme Scheme, style Style, factor, modeBits int) AVF {
 	t.Helper()
-	avf, err := r.AVF(L1, scheme, Interleaving{Style: style, Factor: factor}, modeBits)
+	avf, err := r.avf(L1, scheme, Interleaving{Style: style, Factor: factor}, modeBits, solve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +61,16 @@ func TestPaperShapes(t *testing.T) {
 		t.Skip("paper-shape suite simulates full workloads; skipped in -short (the -race CI leg)")
 	}
 
-	// Every mode below is Mx1 with M <= 8, so the public API answers it on
-	// the packed word-parallel solver. internal/core's
-	// TestScalarMatchesPackedOnShapeWorkloads proves the scalar per-bit
-	// walk bit-identical to it at every point these shapes read.
-	t.Run("packed", paperShapes)
+	// Every shape must hold on both solver paths: the packed word-parallel
+	// solver, which the public API picks for every mode below (all Mx1
+	// with M <= 8), and the scalar per-bit reference it is proven
+	// bit-identical to. The workload runs are cached (shapeRun), so the
+	// second pass costs only re-analysis.
+	t.Run("packed", func(t *testing.T) { paperShapes(t, (*core.Analyzer).Analyze) })
+	t.Run("scalar", func(t *testing.T) { paperShapes(t, (*core.Analyzer).AnalyzeScalar) })
 }
 
-func paperShapes(t *testing.T) {
+func paperShapes(t *testing.T, solve solver) {
 	// MB-AVF ∈ [1x, Mx] SB-AVF: an Mx1 fault group is ACE when any of its
 	// M bits is ACE, so with full detection (interleave degree M under
 	// parity leaves one bit per domain) the group-level AVF is bounded by
@@ -76,7 +80,7 @@ func paperShapes(t *testing.T) {
 			r := shapeRun(t, name)
 			for _, m := range []int{2, 4} {
 				for _, style := range []Style{StyleLogical, StyleWayPhysical} {
-					avf := l1avf(t, r, Parity, style, m, m)
+					avf := l1avf(t, r, solve, Parity, style, m, m)
 					if avf.SBAVF <= 0 {
 						t.Fatalf("%s: SB-AVF = %v, want > 0", name, avf.SBAVF)
 					}
@@ -100,9 +104,9 @@ func paperShapes(t *testing.T) {
 	t.Run("logical-interleaving-lowest", func(t *testing.T) {
 		for _, name := range shapeWorkloads {
 			r := shapeRun(t, name)
-			logical := l1avf(t, r, Parity, StyleLogical, 2, 2).DUE
-			way := l1avf(t, r, Parity, StyleWayPhysical, 2, 2).DUE
-			idx := l1avf(t, r, Parity, StyleIndexPhysical, 2, 2).DUE
+			logical := l1avf(t, r, solve, Parity, StyleLogical, 2, 2).DUE
+			way := l1avf(t, r, solve, Parity, StyleWayPhysical, 2, 2).DUE
+			idx := l1avf(t, r, solve, Parity, StyleIndexPhysical, 2, 2).DUE
 			if logical > way+1e-9 || logical > idx+1e-9 {
 				t.Errorf("%s: logical %v should be lowest (way %v, index %v)",
 					name, logical, way, idx)
@@ -118,7 +122,7 @@ func paperShapes(t *testing.T) {
 			r := shapeRun(t, name)
 			prev := -1.0
 			for _, m := range []int{2, 3, 4} {
-				due := l1avf(t, r, Parity, StyleWayPhysical, 4, m).DUE
+				due := l1avf(t, r, solve, Parity, StyleWayPhysical, 4, m).DUE
 				if due < prev-1e-9 {
 					t.Errorf("%s: DUE MB-AVF fell from %v to %v at %dx1", name, prev, due, m)
 				}
@@ -133,8 +137,8 @@ func paperShapes(t *testing.T) {
 	t.Run("sdc-plateau-6x1-to-8x1", func(t *testing.T) {
 		for _, name := range shapeWorkloads {
 			r := shapeRun(t, name)
-			sdc6 := l1avf(t, r, SECDED, StyleWayPhysical, 2, 6).SDC
-			sdc8 := l1avf(t, r, SECDED, StyleWayPhysical, 2, 8).SDC
+			sdc6 := l1avf(t, r, solve, SECDED, StyleWayPhysical, 2, 6).SDC
+			sdc8 := l1avf(t, r, solve, SECDED, StyleWayPhysical, 2, 8).SDC
 			if sdc6 <= 0 {
 				t.Fatalf("%s: 6x1 SEC-DED x2 SDC = %v, want > 0", name, sdc6)
 			}
@@ -153,8 +157,8 @@ func paperShapes(t *testing.T) {
 	t.Run("secded-m-equals-parity-m-minus-1", func(t *testing.T) {
 		for _, name := range shapeWorkloads {
 			r := shapeRun(t, name)
-			s2 := l1avf(t, r, SECDED, StyleWayPhysical, 1, 2).DUE
-			p1 := l1avf(t, r, Parity, StyleWayPhysical, 1, 1).DUE
+			s2 := l1avf(t, r, solve, SECDED, StyleWayPhysical, 1, 2).DUE
+			p1 := l1avf(t, r, solve, Parity, StyleWayPhysical, 1, 1).DUE
 			if p1 <= 0 {
 				t.Fatalf("%s: 1x1 parity DUE = %v, want > 0", name, p1)
 			}
@@ -162,8 +166,8 @@ func paperShapes(t *testing.T) {
 				t.Errorf("%s: 2x1 SEC-DED (%v) should match 1x1 parity (%v), ratio %v",
 					name, s2, p1, ratio)
 			}
-			s3 := l1avf(t, r, SECDED, StyleWayPhysical, 1, 3).DUE
-			p2 := l1avf(t, r, Parity, StyleWayPhysical, 1, 2).DUE
+			s3 := l1avf(t, r, solve, SECDED, StyleWayPhysical, 1, 3).DUE
+			p2 := l1avf(t, r, solve, Parity, StyleWayPhysical, 1, 2).DUE
 			if s3 != 0 || p2 != 0 {
 				t.Errorf("%s: undetected modes must have zero DUE: 3x1 SEC-DED = %v, 2x1 parity = %v",
 					name, s3, p2)

@@ -148,6 +148,10 @@ func (r *Run) analyzerFor(st Structure, il Interleaving) (*core.Analyzer, error)
 // in lock-step, so an adjacent thread's DUE fires before an SDC
 // propagates).
 func (r *Run) AVF(st Structure, scheme Scheme, il Interleaving, modeBits int) (AVF, error) {
+	return r.avf(st, scheme, il, modeBits, (*core.Analyzer).Analyze)
+}
+
+func (r *Run) avf(st Structure, scheme Scheme, il Interleaving, modeBits int, solve solver) (AVF, error) {
 	if err := validateQuery(il, modeBits); err != nil {
 		return AVF{}, err
 	}
@@ -155,7 +159,7 @@ func (r *Run) AVF(st Structure, scheme Scheme, il Interleaving, modeBits int) (A
 	if err != nil {
 		return AVF{}, err
 	}
-	return r.analyze(a, scheme, modeBits)
+	return r.analyze(a, scheme, modeBits, solve)
 }
 
 // AVFSeries measures the structure's MB-AVF over time, split into the
